@@ -136,23 +136,15 @@ func (db *DB) ReadOnly() (bool, error) {
 	return db.readOnly, db.roCause
 }
 
-// deadRange is a byte range recorded as dead-but-unreclaimed: its hole
-// punch was not supported by the backend, so the space is still allocated
-// even though no live table references it.
-type deadRange struct {
-	off, size int64
-}
-
 // DeadRangeBytes returns the total bytes recorded as dead but unreclaimed
-// across all physical files (the space debt of punch-hole fallbacks).
+// across all table files and value-log segments (the space debt of
+// punch-hole fallbacks).
 func (db *DB) DeadRangeBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var total int64
-	for _, ranges := range db.deadRanges {
-		for _, r := range ranges {
-			total += r.size
-		}
+	for _, n := range db.deadBytes {
+		total += n
 	}
 	return total
 }

@@ -216,10 +216,8 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	db.physRefs[phys] = 2
 	db.zombies = append(db.zombies, &manifest.FileMeta{Num: 90100, PhysNum: phys, Offset: 0, Size: sz})
 	db.reclaimZombiesLocked()
-	dead := int64(0)
-	for _, r := range db.deadRanges[phys] {
-		dead += r.size
-	}
+	db.reclaimLocked()
+	dead := db.deadBytes[phys]
 	db.mu.Unlock()
 
 	m := db.Metrics()
@@ -238,12 +236,63 @@ func TestPunchHoleFallbackRecordsDeadRanges(t *testing.T) {
 	db.mu.Lock()
 	db.zombies = append(db.zombies, &manifest.FileMeta{Num: 90101, PhysNum: phys, Offset: sz, Size: sz})
 	db.reclaimZombiesLocked()
+	db.reclaimLocked()
 	db.mu.Unlock()
 	if db.DeadRangeBytes() != 0 {
 		t.Fatalf("DeadRangeBytes = %d after file removal, want 0", db.DeadRangeBytes())
 	}
 	if _, err := db.fs.Stat(manifest.TableFileName(phys)); err == nil {
 		t.Fatal("fully dead physical file was not removed")
+	}
+
+	// A value-log chunk collected by GC goes through the same executor: its
+	// punch falls back and the range is debited to the segment, which must
+	// be in the version for the debt to count.
+	const seg = uint64(90002)
+	f, err = db.fs.Create(manifest.VLogFileName(seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 2*sz)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	applyLocked := func(edit *manifest.VersionEdit) {
+		if err := db.logAndApplyLocked(edit); err != nil {
+			db.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	db.mu.Lock()
+	edit := &manifest.VersionEdit{}
+	edit.AddVLogSegment(manifest.VLogSegmentEdit{Num: seg, Size: 2 * sz})
+	applyLocked(edit)
+	db.reclaims = append(db.reclaims, reclaim{file: seg, vlog: true, ranges: []extent{{0, sz}}, safeSeq: db.VisibleSeq()})
+	db.reclaimLocked()
+	dead = db.deadBytes[seg]
+	db.mu.Unlock()
+	if got := m.HolePunchFallbacks.Load(); got != 2 {
+		t.Fatalf("HolePunchFallbacks = %d after the value-log punch, want 2", got)
+	}
+	if dead != sz || db.DeadRangeBytes() != sz {
+		t.Fatalf("value-log dead bytes = %d (accessor %d), want %d", dead, db.DeadRangeBytes(), sz)
+	}
+
+	// Collecting the rest of the segment unlinks it, debt and all.
+	db.mu.Lock()
+	edit = &manifest.VersionEdit{}
+	edit.DeleteVLogSegment(seg)
+	applyLocked(edit)
+	db.reclaims = append(db.reclaims, reclaim{file: seg, vlog: true, removeFile: true, safeSeq: db.VisibleSeq()})
+	db.reclaimLocked()
+	db.mu.Unlock()
+	if db.DeadRangeBytes() != 0 {
+		t.Fatalf("DeadRangeBytes = %d after segment removal, want 0", db.DeadRangeBytes())
+	}
+	if _, err := db.fs.Stat(manifest.VLogFileName(seg)); err == nil {
+		t.Fatal("fully collected segment was not removed")
 	}
 
 	// And an end-to-end sanity pass: a real workload on the non-punching

@@ -169,7 +169,7 @@ func (db *DB) maybeScheduleWorkLocked() {
 	// memtable until a flush runs — with MaxBackgroundCompactions=1 a pool
 	// slot waiting on that write would deadlock against the flush it blocks.
 	if !db.vlogGCActive {
-		if gc := db.pickValueGCLocked(); gc != nil {
+		if gc := db.pickValueGCLocked(db.cfg.VLogGCGarbageRatio); gc != nil {
 			r := db.inflight.Reserve(gc)
 			db.vlogGCActive = true
 			db.goros.register("vlogGCWorker")
@@ -407,12 +407,10 @@ func (db *DB) flushLocked(worker int) error {
 
 	logs := db.obsoleteLogs
 	db.obsoleteLogs = nil
-	punches := db.takeReadyVLogPunchesLocked()
 	db.mu.Unlock()
 	for _, num := range logs {
 		_ = db.fs.Remove(manifest.LogFileName(num))
 	}
-	db.execVLogPunches(punches)
 	db.ev.Emit(events.Event{
 		Type:     events.TypeFlushEnd,
 		Outputs:  len(metas),
@@ -439,7 +437,7 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 	job := db.nextJobID
 	v := db.vs.Current()
 	v.Ref() // pin input tables for the duration
-	smallestSnap := db.smallestSnapshotLocked()
+	oldestPin := db.oldestPinLocked()
 	dropTombstones := db.canDropTombstonesLocked(v, c)
 	// Garbage accounting: a dropped pointer entry is value-log garbage,
 	// but only if it lands past the segment's GC watermark — below it the
@@ -484,7 +482,7 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 	case salvage:
 		metas, skipped, err = db.writeSalvageTables(c)
 	case len(c.Inputs)+len(c.NextInputs) > 0:
-		metas, garbage, err = db.writeCompactionTables(c, smallestSnap, dropTombstones, gcOffsets)
+		metas, garbage, err = db.writeCompactionTables(c, oldestPin, dropTombstones, gcOffsets)
 	}
 	db.mu.Lock()
 	v.Unref()
@@ -547,7 +545,8 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 
 	db.zombies = append(db.zombies, c.Inputs...)
 	db.zombies = append(db.zombies, c.NextInputs...)
-	fallbacks := db.reclaimZombiesLocked()
+	db.reclaimZombiesLocked()
+	db.reclaimLocked()
 	db.verifyInvariantsLocked()
 	db.maybeScheduleWorkLocked()
 
@@ -581,9 +580,6 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 			Inputs:   skipped,
 		})
 	}
-	for _, e := range fallbacks {
-		db.ev.Emit(e)
-	}
 	db.mu.Lock()
 	return nil
 }
@@ -593,7 +589,7 @@ func (db *DB) compactLocked(c *compaction.Compaction, worker int) error {
 // unmodified — the whole point of separation is that compactions never
 // touch value bytes — but dropped ones are tallied as garbage against
 // their segment (past its GC watermark, per gcOffsets). Called without mu.
-func (db *DB) writeCompactionTables(c *compaction.Compaction, smallestSnap keys.Seq, dropTombstones bool, gcOffsets map[uint64]int64) ([]*manifest.FileMeta, map[uint64]int64, error) {
+func (db *DB) writeCompactionTables(c *compaction.Compaction, oldestPin keys.Seq, dropTombstones bool, gcOffsets map[uint64]int64) ([]*manifest.FileMeta, map[uint64]int64, error) {
 	iters := make([]iterator.Iterator, 0, len(c.Inputs)+len(c.NextInputs))
 	openIter := func(f *manifest.FileMeta) error {
 		r, release, err := db.tableCache.Get(f)
@@ -635,11 +631,11 @@ func (db *DB) writeCompactionTables(c *compaction.Compaction, smallestSnap keys.
 			lastSeqForKey = keys.MaxSeq
 		}
 		drop := false
-		if lastSeqForKey <= smallestSnap {
+		if lastSeqForKey <= oldestPin {
 			// A newer version of this key is already visible to the oldest
-			// snapshot; this one can never be read again.
+			// reader; this one can never be read again.
 			drop = true
-		} else if ikey.Kind() == keys.KindDelete && ikey.Seq() <= smallestSnap && dropTombstones {
+		} else if ikey.Kind() == keys.KindDelete && ikey.Seq() <= oldestPin && dropTombstones {
 			drop = true
 		}
 		lastSeqForKey = ikey.Seq()
@@ -774,26 +770,17 @@ func (db *DB) logAndApplyLocked(edit *manifest.VersionEdit) error {
 	return err
 }
 
-// reclaimZombiesLocked deletes tables no longer referenced by any live
-// version: whole physical files are unlinked; dead logical SSTables inside
-// still-live compaction files get their byte ranges hole-punched, without
-// any barrier (the BoLT space-reclamation path). Called with mu held;
-// releases it for the file operations. Successful punches emit their
-// events directly (mu is released there); fallback events are returned for
-// the caller to emit in its own unlock window, because the fallback
-// decision is only final after the post-relock liveness re-check.
-func (db *DB) reclaimZombiesLocked() []events.Event {
+// reclaimZombiesLocked queues the space of tables no live version
+// references: a physical file whose last table died is unlinked, and a
+// dead logical SSTable inside a still-live compaction file has its byte
+// range hole-punched, without any barrier (the BoLT space-reclamation
+// path). No reader can reach a zombie, so its reclaim is not gated.
+func (db *DB) reclaimZombiesLocked() {
 	if len(db.zombies) == 0 {
-		return nil
+		return
 	}
 	live := db.vs.LiveTables()
-	var keep []*manifest.FileMeta
-	type punch struct {
-		phys      uint64
-		off, size int64
-	}
-	var punches []punch
-	var removals []uint64
+	keep := db.zombies[:0]
 	for _, z := range db.zombies {
 		if _, isLive := live[z.Num]; isLive {
 			keep = append(keep, z)
@@ -804,58 +791,107 @@ func (db *DB) reclaimZombiesLocked() []events.Event {
 		db.physRefs[z.PhysNum]--
 		if db.physRefs[z.PhysNum] <= 0 {
 			delete(db.physRefs, z.PhysNum)
-			if db.fdCache != nil {
-				db.fdCache.Evict(z.PhysNum)
-			}
-			delete(db.deadRanges, z.PhysNum)
-			removals = append(removals, z.PhysNum)
+			db.reclaims = append(db.reclaims, reclaim{file: z.PhysNum, removeFile: true})
 		} else if db.cfg.compactionFileMode() {
-			punches = append(punches, punch{z.PhysNum, z.Offset, z.Size})
+			db.reclaims = append(db.reclaims, reclaim{file: z.PhysNum, ranges: []extent{{z.Offset, z.Size}}})
 		}
 	}
 	db.zombies = keep
+}
 
-	if len(punches) == 0 && len(removals) == 0 {
-		return nil
+// reclaim is one queued space reclamation: a physical table file or
+// value-log segment to unlink, or dead byte ranges inside it to punch. It
+// runs once no reader pin predates safeSeq.
+type reclaim struct {
+	file       uint64
+	vlog       bool // file is a value-log segment, not a table file
+	ranges     []extent
+	removeFile bool
+	safeSeq    keys.Seq
+}
+
+// extent is a byte range of a file.
+type extent struct{ off, size int64 }
+
+// reclaimLocked runs every queued reclamation no reader pin holds back —
+// all of them once the DB is closed. Called with mu held; releases it for
+// the file operations. Punching is best-effort: a backend that cannot
+// punch (vfs.ErrPunchHoleUnsupported) still reads the range back as zeros,
+// so the range is only recorded as dead-but-allocated space debt, and any
+// other failure costs disk space, never correctness.
+func (db *DB) reclaimLocked() {
+	horizon := db.oldestPinLocked()
+	if db.closed {
+		horizon = keys.MaxSeq
+	}
+	var ready []reclaim
+	wait := db.reclaims[:0]
+	for _, r := range db.reclaims {
+		if r.safeSeq <= horizon {
+			ready = append(ready, r)
+		} else {
+			wait = append(wait, r)
+		}
+	}
+	db.reclaims = wait
+	if len(ready) == 0 {
+		return
 	}
 	db.mu.Unlock()
-	for _, num := range removals {
-		_ = db.fs.Remove(manifest.TableFileName(num))
-	}
-	var fallbacks []punch
-	for _, p := range punches {
-		// Punching is barrier-free and best-effort. A backend that cannot
-		// punch (vfs.ErrPunchHoleUnsupported) or holds the file read-only
-		// still guarantees the range reads back correctly, so the engine
-		// stays correct — the range is just recorded as dead-but-allocated
-		// space debt. Any other failure is ignored: a missed punch only
-		// costs disk space, never correctness.
-		if f, err := db.fs.Open(manifest.TableFileName(p.phys)); err == nil {
-			perr := f.PunchHole(p.off, p.size)
-			_ = f.Close()
+	var fallbacks []events.Event
+	for _, r := range ready {
+		name, fds := manifest.TableFileName(r.file), db.fdCache
+		if r.vlog {
+			name, fds = manifest.VLogFileName(r.file), db.vlogFDs
+		}
+		if r.removeFile {
+			if fds != nil {
+				fds.Evict(r.file)
+			}
+			_ = db.fs.Remove(name)
+			continue
+		}
+		f, err := db.fs.Open(name)
+		if err != nil {
+			continue
+		}
+		for _, e := range r.ranges {
+			perr := f.PunchHole(e.off, e.size)
 			switch {
 			case perr == nil:
 				db.met.HolePunches.Add(1)
-				db.ev.Emit(events.Event{Type: events.TypeHolePunch, File: p.phys, BytesOut: p.size})
-			case errors.Is(perr, vfs.ErrPunchHoleUnsupported) || errors.Is(perr, vfs.ErrReadOnly):
-				fallbacks = append(fallbacks, p)
+				db.ev.Emit(events.Event{Type: events.TypeHolePunch, File: r.file, BytesOut: e.size})
+			case errors.Is(perr, vfs.ErrPunchHoleUnsupported):
+				fallbacks = append(fallbacks, events.Event{Type: events.TypeHolePunchFallback, File: r.file, BytesOut: e.size})
 			}
 		}
+		_ = f.Close()
 	}
 	db.mu.Lock()
-	var fallbackEvents []events.Event
-	for _, p := range fallbacks {
-		// Re-check liveness: the file may have been removed while mu was
-		// released, in which case its dead ranges vanished with it.
-		if _, live := db.physRefs[p.phys]; live {
-			db.deadRanges[p.phys] = append(db.deadRanges[p.phys], deadRange{p.off, p.size})
-			db.met.HolePunchFallbacks.Add(1)
-			fallbackEvents = append(fallbackEvents, events.Event{
-				Type: events.TypeHolePunchFallback, File: p.phys, BytesOut: p.size,
-			})
+	for _, r := range ready {
+		if r.removeFile {
+			delete(db.deadBytes, r.file)
 		}
 	}
-	return fallbackEvents
+	recorded := fallbacks[:0]
+	for _, ev := range fallbacks {
+		// A file that died while mu was released takes its debt along.
+		if _, table := db.physRefs[ev.File]; !table {
+			if _, seg := db.vs.Current().VLogSegment(ev.File); !seg {
+				continue
+			}
+		}
+		db.deadBytes[ev.File] += ev.BytesOut
+		db.met.HolePunchFallbacks.Add(1)
+		recorded = append(recorded, ev)
+	}
+	if len(recorded) > 0 {
+		db.mu.Unlock()
+		for _, ev := range recorded {
+			db.ev.Emit(ev)
+		}
+		db.mu.Lock()
+	}
 }
 
 // compactionReasonBucket maps a picker reason string onto the per-reason

@@ -84,11 +84,15 @@ type DB struct {
 	// GC commit filter uses it to detect whether "key absent from both
 	// memtables" can have changed meaning since its scan.
 	flushEpoch uint64 //boltvet:guardedby mu
-	// iterPins records the snapshot sequence of every open iterator, and
-	// vlogPunchQueue holds value-log hole punches deferred until no pinned
-	// reader (snapshot, iterator) predates the GC commit that killed them.
-	iterPins       *list.List  //boltvet:guardedby mu -- of keys.Seq, unordered
-	vlogPunchQueue []vlogPunch //boltvet:guardedby mu
+	// pins holds the read sequence of every open snapshot and iterator in
+	// ascending order, so its front is the oldest sequence any reader may
+	// still observe (see pinLocked). reclaims queues space to free — dead
+	// table files and ranges, collected value-log chunks — each run once no
+	// pin predates its safeSeq; deadBytes totals, per file, the ranges whose
+	// punch the backend could not perform: logically dead, still allocated.
+	pins      *list.List       //boltvet:guardedby mu -- of keys.Seq, ascending
+	reclaims  []reclaim        //boltvet:guardedby mu
+	deadBytes map[uint64]int64 //boltvet:guardedby mu
 
 	// visibleSeq is the highest sequence number visible to reads; it is
 	// atomic so the read path can snapshot it without mu.
@@ -103,8 +107,6 @@ type DB struct {
 	// (forceMemtableSwitchLocked) waiting for the leader's off-mu append
 	// window to end; a finishing leader broadcasts cond when it is nonzero.
 	rotateWaiters int //boltvet:guardedby mu
-
-	snapshots *list.List //boltvet:guardedby mu -- of keys.Seq, ascending insertion order
 
 	// manifestMu serializes MANIFEST commits; acquired without mu held.
 	manifestMu sync.Mutex
@@ -136,10 +138,6 @@ type DB struct {
 	// attempts, driving the retry backoff; reset on the next success.
 	flushFails   int //boltvet:guardedby mu
 	compactFails int //boltvet:guardedby mu
-
-	// deadRanges records, per physical file, byte ranges whose hole punch
-	// the backend could not perform: logically dead but not reclaimed.
-	deadRanges map[uint64][]deadRange //boltvet:guardedby mu
 
 	seekCompactFile  *manifest.FileMeta //boltvet:guardedby mu
 	seekCompactLevel int                //boltvet:guardedby mu
@@ -174,10 +172,9 @@ func Open(fs vfs.FS, cfg Config) (*DB, error) {
 		met:               &metrics.Metrics{},
 		ev:                events.NewLog(cfg.EventLogSize, cfg.EventListener),
 		mem:               memtable.New(),
-		snapshots:         list.New(),
-		iterPins:          list.New(),
+		pins:              list.New(),
 		physRefs:          make(map[uint64]int),
-		deadRanges:        make(map[uint64][]deadRange),
+		deadBytes:         make(map[uint64]int64),
 		inflight:          compaction.NewInFlight(),
 		quarantinePending: make(map[uint64]bool),
 		vlogGCStuck:       make(map[uint64]bool),
@@ -537,28 +534,47 @@ func (db *DB) NewSnapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s := &Snapshot{db: db, seq: db.VisibleSeq()}
-	s.elem = db.snapshots.PushBack(s.seq)
+	s.elem = db.pinLocked(s.seq)
 	return s
 }
 
-// Release unpins the snapshot. Dropping the oldest pin may make deferred
-// value-log punches safe, so the queue is drained on the way out.
+// Release unpins the snapshot.
 func (s *Snapshot) Release() {
 	db := s.db
 	db.mu.Lock()
-	if s.elem != nil {
-		db.snapshots.Remove(s.elem)
-		s.elem = nil
-	}
-	todo := db.takeReadyVLogPunchesLocked()
+	db.unpinLocked(s.elem)
+	s.elem = nil
 	db.mu.Unlock()
-	db.execVLogPunches(todo)
 }
 
-// smallestSnapshotLocked returns the oldest sequence number any reader may
-// still need (mu held).
-func (db *DB) smallestSnapshotLocked() keys.Seq {
-	if front := db.snapshots.Front(); front != nil {
+// pinLocked records a reader at seq and returns its pin. Pins taken at
+// VisibleSeq() under mu arrive in ascending order and go to the back in
+// O(1); an iterator on an older snapshot walks back over the newer pins.
+func (db *DB) pinLocked(seq keys.Seq) *list.Element {
+	e := db.pins.Back()
+	for e != nil && e.Value.(keys.Seq) > seq {
+		e = e.Prev()
+	}
+	if e == nil {
+		return db.pins.PushFront(seq)
+	}
+	return db.pins.InsertAfter(seq, e)
+}
+
+// unpinLocked drops a pin (nil: already dropped) and runs the reclamation
+// it may have been holding back; mu is released meanwhile.
+func (db *DB) unpinLocked(pin *list.Element) {
+	if pin != nil {
+		db.pins.Remove(pin)
+	}
+	db.reclaimLocked()
+}
+
+// oldestPinLocked returns the oldest sequence any reader may still
+// observe: the front pin, or with none the visible sequence. Compaction
+// keeps every version it can see, and reclamation waits for it.
+func (db *DB) oldestPinLocked() keys.Seq {
+	if front := db.pins.Front(); front != nil {
 		return front.Value.(keys.Seq)
 	}
 	return db.VisibleSeq()
@@ -819,11 +835,9 @@ func (db *DB) Close() error {
 	// completed drain implies an empty registry — a survivor here is a
 	// leaked goroutine the trackers lost sight of.
 	db.goros.assertDrained()
-	// Every reader is gone, so deferred value-log punches are all safe now.
-	punches := db.vlogPunchQueue
-	db.vlogPunchQueue = nil
+	// No read can start after close, so every queued reclamation runs now.
+	db.reclaimLocked()
 	db.mu.Unlock()
-	db.execVLogPunches(punches)
 
 	var firstErr error
 	//boltvet:ignore-begin guardedby -- post-drain teardown: closed is set and every background path has unwound, so this goroutine is the last one standing

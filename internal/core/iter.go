@@ -160,7 +160,7 @@ type DBIter struct {
 	db     *DB
 	seq    keys.Seq
 	v      *manifest.Version // pinned until Close
-	pin    *list.Element     // entry in db.iterPins; holds back value-log punches
+	pin    *list.Element     // entry in db.pins; holds back compaction drops and reclamation
 	merged *iterator.Merging
 
 	key     []byte
@@ -173,17 +173,18 @@ type DBIter struct {
 // NewIter returns an iterator over the database at snap (nil = latest
 // committed state at creation time). Callers must Close it.
 func (db *DB) NewIter(snap *Snapshot) *DBIter {
+	db.mu.Lock()
+	// Read the sequence and take the pin in one critical section: value GC
+	// gates its reclamation on a sequence no newer than the one read here,
+	// and anything queued later waits for the pin.
 	seq := db.VisibleSeq()
 	if snap != nil {
 		seq = snap.seq
 	}
-	db.mu.Lock()
 	mem, imm := db.mem, db.imm
 	v := db.vs.Current()
 	v.Ref()
-	// Pin seq for value GC: punches of records this iterator might still
-	// dereference are deferred until Close removes the pin.
-	pin := db.iterPins.PushBack(seq)
+	pin := db.pinLocked(seq)
 	db.mu.Unlock()
 
 	sources := []iterator.Iterator{mem.NewIter()}
@@ -295,8 +296,8 @@ func (it *DBIter) Value() []byte { return it.value }
 // Err returns the first error encountered.
 func (it *DBIter) Err() error { return it.err }
 
-// Close releases the iterator's table references, version pin, and
-// value-GC pin; punches the pin was holding back run before returning.
+// Close releases the iterator's table references, version and reader
+// pin; reclamation the pin was holding back runs before returning.
 func (it *DBIter) Close() error {
 	if it.merged == nil {
 		return nil
@@ -307,10 +308,8 @@ func (it *DBIter) Close() error {
 	db := it.db
 	db.mu.Lock()
 	it.v.Unref()
-	db.iterPins.Remove(it.pin)
+	db.unpinLocked(it.pin)
 	it.pin = nil
-	todo := db.takeReadyVLogPunchesLocked()
 	db.mu.Unlock()
-	db.execVLogPunches(todo)
 	return err
 }

@@ -36,13 +36,11 @@ func (db *DB) LevelStats() []metrics.LevelStats {
 	db.mu.Lock()
 	v := db.vs.Current()
 	v.Ref()
-	// Dead ranges are keyed by physical file; total them here so the
-	// per-level attribution below needs no lock.
-	deadByPhys := make(map[uint64]int64, len(db.deadRanges))
-	for phys, ranges := range db.deadRanges {
-		for _, r := range ranges {
-			deadByPhys[phys] += r.size
-		}
+	// Dead bytes are keyed by file; copy them so the per-level attribution
+	// below needs no lock. Value-log segments belong to no level.
+	deadByPhys := make(map[uint64]int64, len(db.deadBytes))
+	for phys, n := range db.deadBytes {
+		deadByPhys[phys] = n
 	}
 	db.mu.Unlock()
 	defer v.Unref()

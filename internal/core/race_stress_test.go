@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -72,7 +73,7 @@ func TestRaceStressCompactionSnapshots(t *testing.T) {
 	}()
 
 	// Snapshot churn: grab a snapshot, read through it, release it — the
-	// snapshot list and visibleSeq are shared with the commit pipeline.
+	// pin list and visibleSeq are shared with the commit pipeline.
 	auxWG.Add(1)
 	go func() {
 		defer auxWG.Done()
@@ -92,7 +93,22 @@ func TestRaceStressCompactionSnapshots(t *testing.T) {
 					return
 				}
 			}
+			// An iterator on the snapshot outlives it: its own pin must keep
+			// compaction from dropping any version it sees, so a Get at the
+			// same sequence still agrees with it.
+			it := db.NewIter(snap)
 			snap.Release()
+			start := []byte(fmt.Sprintf("race%06d", rng.Intn(keys)))
+			for ok, n := it.SeekGE(start), 0; ok && n < 10; ok, n = it.Next(), n+1 {
+				if got, err := db.Get(it.Key(), snap); err != nil || !bytes.Equal(got, it.Value()) {
+					t.Errorf("Get(%s) at a pinned sequence = %q, %v; iterator saw %q", it.Key(), got, err, it.Value())
+					break
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Errorf("iterator: %v", err)
+			}
+			_ = it.Close()
 		}
 	}()
 

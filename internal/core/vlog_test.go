@@ -234,7 +234,46 @@ func TestValueGCReclaimsDeadSegments(t *testing.T) {
 	}
 }
 
+// pinnedRead opens one kind of reader pin on db and returns how to read a
+// key through it and how to drop it.
+type pinnedRead func(db *DB) (read func(key string) ([]byte, error), release func())
+
+func iterRead(it *DBIter) func(key string) ([]byte, error) {
+	return func(key string) ([]byte, error) {
+		if !it.SeekGE([]byte(key)) || string(it.Key()) != key {
+			return nil, fmt.Errorf("iterator lost %s: %v", key, it.Err())
+		}
+		return it.Value(), nil
+	}
+}
+
 func TestValueGCDefersPunchForSnapshot(t *testing.T) {
+	kinds := []struct {
+		name string
+		pin  pinnedRead
+	}{
+		{"snapshot", func(db *DB) (func(string) ([]byte, error), func()) {
+			snap := db.NewSnapshot()
+			return func(key string) ([]byte, error) { return db.Get([]byte(key), snap) }, snap.Release
+		}},
+		{"iterator", func(db *DB) (func(string) ([]byte, error), func()) {
+			it := db.NewIter(nil)
+			return iterRead(it), func() { _ = it.Close() }
+		}},
+		// The iterator's own pin must outlive the snapshot it was opened on.
+		{"iterator-on-released-snapshot", func(db *DB) (func(string) ([]byte, error), func()) {
+			snap := db.NewSnapshot()
+			it := db.NewIter(snap)
+			snap.Release()
+			return iterRead(it), func() { _ = it.Close() }
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) { testValueGCDefersPunch(t, kind.pin) })
+	}
+}
+
+func testValueGCDefersPunch(t *testing.T, pin pinnedRead) {
 	fs := vfs.NewMem()
 	cfg := vlogTestConfig()
 	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
@@ -242,59 +281,140 @@ func TestValueGCDefersPunchForSnapshot(t *testing.T) {
 	defer db.Close()
 
 	const n = 24
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key%03d", i)
-		if err := db.Put([]byte(key), bigValue(key, 0)); err != nil {
+	key := func(i int) string { return fmt.Sprintf("key%03d", i) }
+	filler := func(i int) string { return fmt.Sprintf("fill%03d", i) }
+	put := func(k string, gen int) {
+		if err := db.Put([]byte(k), bigValue(k, gen)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Generation-0 keys share their segments with fillers that die before
+	// the pin is taken, so compaction accounts garbage against those
+	// segments and GC picks them even though the pin keeps every key's
+	// generation-0 pointer alive in the tree.
+	for i := 0; i < n; i++ {
+		put(key(i), 0)
+		put(filler(i), 0)
+	}
+	for i := 0; i < n; i++ {
+		put(filler(i), 1)
 	}
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// The snapshot pins the generation-0 values across the GC below.
-	snap := db.NewSnapshot()
+	read, release := pin(db)
 	released := false
 	defer func() {
 		if !released {
-			snap.Release()
+			release()
 		}
 	}()
 
 	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key%03d", i)
-		if err := db.Put([]byte(key), bigValue(key, 1)); err != nil {
-			t.Fatal(err)
+		put(key(i), 1)
+	}
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	segsBeforeGC := countVLogFiles(t, fs)
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Metrics().VLogGCPasses.Load() == 0 {
+		t.Fatal("GC collected nothing; the test needs segments with garbage")
+	}
+
+	// The pass collected the generation-0 segments, but their removal
+	// waits for the pin: the pinned reader still resolves every record.
+	if got := countVLogFiles(t, fs); got != segsBeforeGC {
+		t.Fatalf("segments: %d before GC, %d after while pinned — reclamation ran early", segsBeforeGC, got)
+	}
+	for i := 0; i < n; i++ {
+		got, err := read(key(i))
+		if err != nil || !bytes.Equal(got, bigValue(key(i), 0)) {
+			t.Fatalf("pinned read after GC: %s = %d bytes, %v", key(i), len(got), err)
 		}
 	}
+	release()
+	released = true
+	if got := countVLogFiles(t, fs); got >= segsBeforeGC {
+		t.Fatalf("segments: %d before GC, %d after the pin dropped — deferred reclamation never ran", segsBeforeGC, got)
+	}
+
+	// Post-release the latest values remain readable.
+	for i := 0; i < n; i++ {
+		got, err := db.Get([]byte(key(i)), nil)
+		if err != nil || !bytes.Equal(got, bigValue(key(i), 1)) {
+			t.Fatalf("latest read after release: Get(%s) = %d bytes, %v", key(i), len(got), err)
+		}
+	}
+}
+
+// A flush records the active segment at its synced length; once that
+// segment rotates, its final length reaches the version only at the next
+// flush. GC must leave the segment alone until then: a pass over the stale
+// size would take it for fully scanned and unlink it, live tail and all.
+func TestValueGCSkipsSegmentAwaitingFinalSize(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := vlogTestConfig()
+	cfg.VLogGCGarbageRatio = 1.0 // manual GC only
+	db := openTestDB(t, fs, cfg)
+	defer db.Close()
+
+	want := make(map[string][]byte)
+	put := func(k string, gen int) {
+		if err := db.Put([]byte(k), bigValue(k, gen)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = bigValue(k, gen)
+	}
+	activeSeg := func() uint64 {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return db.vlogNum
+	}
+	checkAll := func(stage string) {
+		t.Helper()
+		for k, v := range want {
+			got, err := db.Get([]byte(k), nil)
+			if err != nil || !bytes.Equal(got, v) {
+				t.Fatalf("%s: Get(%s) = %d bytes, %v", stage, k, len(got), err)
+			}
+		}
+	}
+
+	// An overwrite inside the active segment: the flush records the segment
+	// at its synced length, and the compaction accounts the dead record as
+	// garbage, making the segment a GC candidate once sealed.
+	seg := activeSeg()
+	put("a0", 0)
+	put("a1", 0)
+	put("a0", 1)
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the same segment past that length until it rotates; no flush
+	// runs, so its final size waits in vlogPending.
+	for i := 0; activeSeg() == seg; i++ {
+		put(fmt.Sprintf("b%03d", i), 0)
+	}
+	if err := db.CompactValueLog(); err != nil {
+		t.Fatal(err)
+	}
+	checkAll("GC before the sealing flush")
+
+	// After the next flush records the final size, GC may collect it.
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.CompactValueLog(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Whatever the GC reclaimed, the snapshot's reads must still resolve:
-	// punches for records a pinned reader may dereference are deferred
-	// until the pin is released.
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key%03d", i)
-		got, err := db.Get([]byte(key), snap)
-		if err != nil || !bytes.Equal(got, bigValue(key, 0)) {
-			t.Fatalf("snapshot read after GC: Get(%s) = %d bytes, %v", key, len(got), err)
-		}
+	if db.Metrics().VLogGCPasses.Load() == 0 {
+		t.Fatal("GC never collected the sealed segment after its size was recorded")
 	}
-	snap.Release()
-	released = true
-
-	// Post-release the latest values remain readable.
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key%03d", i)
-		got, err := db.Get([]byte(key), nil)
-		if err != nil || !bytes.Equal(got, bigValue(key, 1)) {
-			t.Fatalf("latest read after release: Get(%s) = %d bytes, %v", key, len(got), err)
-		}
-	}
+	checkAll("GC after the sealing flush")
 }
 
 func TestRepairRebuildsVLogSegments(t *testing.T) {

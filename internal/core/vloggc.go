@@ -30,20 +30,11 @@ import (
 //     SyncWAL: the punch that follows destroys the only other copy.
 //  3. Punching is gated on readers. safeSeq is the visible sequence
 //     captured after the re-put commit; any reader at or past it resolves
-//     the re-put (or something newer), never the dead record. Punches
-//     wait in vlogPunchQueue until no snapshot or open iterator predates
-//     safeSeq. The one reader class that holds no pin — a latest-seq Get
-//     already in flight — is covered by Get's single retry on ErrCorrupt.
-
-// vlogPunch is one deferred reclamation: payload ranges (or the whole
-// file) of a collected segment chunk, executable once no pinned reader
-// predates safeSeq.
-type vlogPunch struct {
-	seg        uint64
-	ranges     []deadRange
-	removeFile bool // segment fully collected: unlink instead of punching
-	safeSeq    keys.Seq
-}
+//     the re-put (or something newer), never the dead record. The chunk's
+//     reclaim waits in the reclaim queue until no pin (snapshot or open
+//     iterator) predates safeSeq. The one reader class that holds no pin
+//     — a latest-seq Get already in flight — is covered by Get's single
+//     retry on ErrCorrupt.
 
 // gcEntry is one record the GC pass found live at scan time.
 type gcEntry struct {
@@ -61,15 +52,28 @@ type gcCommit struct {
 	aborted bool
 }
 
-// pickValueGCLocked returns the next value-GC job, or nil. Requires an
-// active value-log writer: re-puts have nowhere to go without one.
-func (db *DB) pickValueGCLocked() *compaction.Compaction {
+// pickValueGCLocked returns the next value-GC job over segments whose
+// garbage ratio reaches minRatio, or nil. Requires an active value-log
+// writer: re-puts have nowhere to go without one. A sealed segment still in
+// vlogPending is skipped: the version holds only the length synced at the
+// last flush, and a pass over that stale size would collect the segment
+// whole while live records sit in its tail.
+func (db *DB) pickValueGCLocked(minRatio float64) *compaction.Compaction {
 	if db.vlogW == nil || db.closed {
 		return nil
 	}
+	skip := db.vlogGCStuck
+	if len(db.vlogPending) > 0 {
+		skip = make(map[uint64]bool, len(db.vlogGCStuck)+len(db.vlogPending))
+		for seg := range db.vlogGCStuck {
+			skip[seg] = true
+		}
+		for _, s := range db.vlogPending {
+			skip[s.Num] = true
+		}
+	}
 	env := compaction.Env{InFlight: db.inflight}
-	return db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(),
-		db.cfg.VLogGCGarbageRatio, db.vlogGCStuck)
+	return db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(), minRatio, skip)
 }
 
 // vlogGCWorker is the dedicated value-GC goroutine, spawned by the
@@ -90,7 +94,7 @@ func (db *DB) vlogGCWorker(c *compaction.Compaction, r *compaction.Reservation) 
 			break
 		}
 		db.cond.Broadcast()
-		if c = db.pickValueGCLocked(); c != nil {
+		if c = db.pickValueGCLocked(db.cfg.VLogGCGarbageRatio); c != nil {
 			r = db.inflight.Reserve(c)
 		}
 	}
@@ -132,7 +136,7 @@ func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
 		ptr        vlog.Pointer
 	}
 	var records []scannedRec
-	var punchRanges []deadRange
+	var punchRanges []extent
 	chunkEnd := start
 	werr := db.vlogFDs.With(seg, func(f vfs.File) error {
 		_, err := vlog.Walk(f, start, segSize, func(rec vlog.WalkRecord) error {
@@ -145,7 +149,7 @@ func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
 				// Whatever the liveness verdict, the record's payload is
 				// dead once the pass commits: dead records are superseded
 				// already, live ones get re-put.
-				punchRanges = append(punchRanges, deadRange{rec.Off + vlog.HeaderSize, rec.Len - vlog.HeaderSize})
+				punchRanges = append(punchRanges, extent{rec.Off + vlog.HeaderSize, rec.Len - vlog.HeaderSize})
 			}
 			chunkEnd = rec.Off + rec.Len
 			if chunkEnd-start >= chunkBudget {
@@ -229,13 +233,11 @@ func (db *DB) valueGCPassLocked(c *compaction.Compaction) error {
 	}
 	db.met.VLogGCPasses.Add(1)
 	db.met.VLogReclaimedBytes.Add(reclaimed)
-	safeSeq := db.VisibleSeq()
-	db.vlogPunchQueue = append(db.vlogPunchQueue, vlogPunch{
-		seg: seg, ranges: punchRanges, removeFile: full, safeSeq: safeSeq,
+	db.reclaims = append(db.reclaims, reclaim{
+		file: seg, vlog: true, ranges: punchRanges, removeFile: full, safeSeq: db.VisibleSeq(),
 	})
-	todo := db.takeReadyVLogPunchesLocked()
+	db.reclaimLocked()
 	db.mu.Unlock()
-	db.execVLogPunches(todo)
 	db.ev.Emit(events.Event{
 		Type:    events.TypeVLogGC,
 		File:    seg,
@@ -336,76 +338,6 @@ func (db *DB) filterGCBatchLocked(w *dbWriter) error {
 	return nil
 }
 
-// minReaderSeqLocked returns the oldest sequence any current reader may
-// observe: the oldest snapshot, the oldest open iterator, or (with
-// neither) the visible sequence.
-func (db *DB) minReaderSeqLocked() keys.Seq {
-	min := db.VisibleSeq()
-	if front := db.snapshots.Front(); front != nil {
-		if s := front.Value.(keys.Seq); s < min {
-			min = s
-		}
-	}
-	for e := db.iterPins.Front(); e != nil; e = e.Next() {
-		if s := e.Value.(keys.Seq); s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// takeReadyVLogPunchesLocked extracts the queued punches whose safeSeq is
-// covered by every live reader; the caller executes them off-mu.
-func (db *DB) takeReadyVLogPunchesLocked() []vlogPunch {
-	if len(db.vlogPunchQueue) == 0 {
-		return nil
-	}
-	minSeq := db.minReaderSeqLocked()
-	var ready, wait []vlogPunch
-	for _, p := range db.vlogPunchQueue {
-		if minSeq >= p.safeSeq {
-			ready = append(ready, p)
-		} else {
-			wait = append(wait, p)
-		}
-	}
-	db.vlogPunchQueue = wait
-	return ready
-}
-
-// execVLogPunches performs deferred value-log reclamation: hole punches
-// for partially collected chunks, file removal for fully collected
-// segments. Called without mu. Punching is best-effort exactly like table
-// reclamation (see reclaimZombiesLocked): an unsupported backend costs
-// space, never correctness — and unlike table ranges the space debt needs
-// no tracking, because the GC watermark already records the range as
-// collected.
-func (db *DB) execVLogPunches(todo []vlogPunch) {
-	for _, p := range todo {
-		name := manifest.VLogFileName(p.seg)
-		if p.removeFile {
-			db.vlogFDs.Evict(p.seg)
-			_ = db.fs.Remove(name)
-			continue
-		}
-		f, err := db.fs.Open(name)
-		if err != nil {
-			continue
-		}
-		for _, r := range p.ranges {
-			perr := f.PunchHole(r.off, r.size)
-			switch {
-			case perr == nil:
-				db.met.HolePunches.Add(1)
-				db.ev.Emit(events.Event{Type: events.TypeHolePunch, File: p.seg, BytesOut: r.size})
-			case errors.Is(perr, vfs.ErrPunchHoleUnsupported) || errors.Is(perr, vfs.ErrReadOnly):
-				db.met.HolePunchFallbacks.Add(1)
-			}
-		}
-		_ = f.Close()
-	}
-}
-
 // rotateVLogLocked seals the active segment, queues its MANIFEST record
 // for the next flush, and opens a fresh segment. Called under mu by the
 // group-commit leader (the only appender, so sealing cannot race an
@@ -444,13 +376,9 @@ func (db *DB) CompactValueLog() error {
 			db.cond.Wait()
 			continue
 		}
-		if db.vlogW == nil {
-			break
-		}
-		env := compaction.Env{InFlight: db.inflight}
 		// Tiny positive ratio: collect any segment with nonzero garbage,
 		// but never churn a garbage-free one.
-		c := db.picker.PickValueGC(db.vs.Current(), env, db.vlogW.Seg(), 1e-12, db.vlogGCStuck)
+		c := db.pickValueGCLocked(1e-12)
 		if c == nil {
 			break
 		}

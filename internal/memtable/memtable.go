@@ -149,19 +149,22 @@ func (m *MemTable) GetSeek(target keys.InternalKey) (value []byte, kind keys.Kin
 	return n.value, n.key.Kind(), true
 }
 
-// seekGE returns the first node with key >= target, or nil.
+// seekGE returns the first node with key >= target, or nil. It returns the
+// node the level-0 search compared: re-loading p.next[0] could return a
+// node a concurrent insert just placed below target.
 func (m *MemTable) seekGE(target keys.InternalKey) *node {
 	p := m.head
+	var n *node
 	for level := int(m.height.Load()) - 1; level >= 0; level-- {
 		for {
-			n := p.next[level].Load()
+			n = p.next[level].Load()
 			if n == nil || keys.Compare(n.key, target) >= 0 {
 				break
 			}
 			p = n
 		}
 	}
-	return p.next[0].Load()
+	return n
 }
 
 // NewIter returns an iterator over the memtable. The iterator observes

@@ -180,6 +180,40 @@ func TestConcurrentReadDuringWrite(t *testing.T) {
 	}
 }
 
+// A lookup must answer from the node its level-0 search compared, not from
+// a fresh load of the predecessor's link: an insert landing just below the
+// probed key in between would otherwise hide the key, and the engine would
+// fall through to an older version in a table. The writer inserts a rising
+// run of keys that each sort directly below the probed key.
+func TestGetSeekStableUnderInsertsJustBelow(t *testing.T) {
+	m := New()
+	probe := []byte("m")
+	m.Add(1, keys.KindSet, probe, []byte("v"))
+	target := keys.MakeInternalKey(nil, probe, keys.MaxSeq, keys.KindSeekMax)
+
+	const inserts = 100000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < inserts; i++ {
+			m.Add(keys.Seq(i+2), keys.KindSet, []byte(fmt.Sprintf("l%09d", i)), nil)
+		}
+	}()
+	for misses := 0; ; {
+		select {
+		case <-done:
+			if misses > 0 {
+				t.Fatalf("GetSeek missed the probed key %d times during concurrent inserts", misses)
+			}
+			return
+		default:
+		}
+		if _, _, found := m.GetSeek(target); !found {
+			misses++
+		}
+	}
+}
+
 func TestApproximateSizeGrows(t *testing.T) {
 	m := New()
 	if m.ApproximateSize() != 0 {

@@ -39,9 +39,12 @@ func (o *OSFS) Create(name string) (File, error) {
 	return &osFile{f: f}, nil
 }
 
-// Open opens name for random-access reads.
+// Open opens name for reads and, where the file is writable, hole punches.
 func (o *OSFS) Open(name string) (File, error) {
-	f, err := os.Open(o.path(name))
+	f, err := os.OpenFile(o.path(name), os.O_RDWR, 0)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		f, err = os.Open(o.path(name))
+	}
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("vfs: open %q: %w", name, ErrNotFound)
@@ -143,9 +146,6 @@ func (o *osFile) Size() (int64, error) {
 // the range as dead rather than reclaimed. Engine correctness only
 // requires that holes read back as zeros, which both paths guarantee.
 func (o *osFile) PunchHole(off, length int64) error {
-	if o.readonly {
-		return ErrReadOnly
-	}
 	if length <= 0 {
 		return nil
 	}

@@ -331,3 +331,29 @@ func TestOSReadOnlyHandleRejectsWrite(t *testing.T) {
 		t.Errorf("Write on read-only handle = %v", err)
 	}
 }
+
+// The engine reclaims dead table and value-log ranges through handles from
+// Open, so those must punch (natively or by the zeroing fallback) and read
+// the range back as zeros.
+func TestOSOpenHandlePunchesHole(t *testing.T) {
+	osfs, err := NewOS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, osfs, "a", "0123456789")
+	f, err := osfs.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.PunchHole(2, 5); err != nil && !errors.Is(err, ErrPunchHoleUnsupported) {
+		t.Fatalf("PunchHole through an Open handle = %v", err)
+	}
+	buf := make([]byte, 10)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := "01\x00\x00\x00\x00\x00789"; string(buf) != want {
+		t.Fatalf("after punch read %q, want %q", buf, want)
+	}
+}
